@@ -183,7 +183,10 @@ def run_scheme(
     ``stream`` — a :class:`repro.stream.StreamConfig` (or ``True`` for the
     defaults) — routes the run through the pipelined streaming runtime
     (:class:`repro.stream.StreamRunner`); the result then carries the
-    streaming truth accounting in :attr:`EvaluationResult.stream`.
+    streaming truth accounting in :attr:`EvaluationResult.stream`.  Without
+    ``ground_truth`` the run is scored against the ground truth the
+    capture stage computed on its own renders, so no frame is rendered
+    twice.
 
     ``metrics`` (see :func:`metrics_for`) threads a virtual-time metrics
     registry through the edge server and, for streaming runs, the queue
@@ -224,6 +227,8 @@ def run_scheme(
             scheme, config, metrics=registry, flight_recorder=flight,
         ).run(clip, trace, server)
         run, stats = result.run, result.stats
+        if ground_truth is None:
+            ground_truth = result.ground_truth
         if tracer is not None and tracer.enabled:
             tracer.meta.setdefault("stream", []).append(
                 {"scheme": scheme.name, "clip": clip.name, **stats.summary()}

@@ -24,7 +24,9 @@ mirroring the belief/truth epistemics of :mod:`repro.stream`:
    bit-identical to a plain streamed run); frames whose every request
    was rejected go *stale* (detections = last good edge result, response
    never arrives).  Accuracy is then scored on the settled detections
-   and all fleet metrics are recorded with ``agent=…`` labels.
+   against the ground truth each agent's capture stage computed in
+   phase 1 (settle renders nothing), and all fleet metrics are recorded
+   with ``agent=…`` labels.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from repro.baselines import DDSScheme, EAARScheme, O3Scheme
 from repro.baselines.base import SchemeRun
 from repro.core.agent import DiVEScheme
-from repro.edge.detector import QualityAwareDetector
+from repro.edge.detector import Detection, QualityAwareDetector
 from repro.edge.evaluation import evaluate_detections
 from repro.edge.server import EdgeServer
 from repro.experiments.config import scaled_bandwidth
@@ -241,13 +243,14 @@ class FleetConfig:
 
 @dataclass
 class _AgentRun:
-    """Phase-1 output for one agent (belief timeline + request log)."""
+    """Phase-1 output for one agent (belief timeline, request log and
+    the ground truth its capture stage computed)."""
 
     spec: AgentSpec
-    clip: Clip
     run: SchemeRun
     stream_stats: object
     calls: list[RecordedCall]
+    ground_truth: list[list[Detection]]
 
     def fork(self) -> "_AgentRun":
         """A copy whose frames can be settled without mutating this run.
@@ -258,10 +261,11 @@ class _AgentRun:
         """
         frames = [replace(f, detections=list(f.detections)) for f in self.run.frames]
         return _AgentRun(
-            spec=self.spec, clip=self.clip,
+            spec=self.spec,
             run=SchemeRun(scheme=self.run.scheme, clip_name=self.run.clip_name,
                           frames=frames),
             stream_stats=self.stream_stats, calls=self.calls,
+            ground_truth=self.ground_truth,
         )
 
 
@@ -392,8 +396,8 @@ class FleetRunner:
             recording = RecordingEdgeServer(server)
             result = StreamRunner(scheme, cfg.stream_config()).run(clip, trace, recording)
             return _AgentRun(
-                spec=spec, clip=clip, run=result.run,
-                stream_stats=result.stats, calls=recording.calls,
+                spec=spec, run=result.run, stream_stats=result.stats,
+                calls=recording.calls, ground_truth=result.ground_truth,
             )
 
         if cfg.agent_workers == 1 or len(specs) == 1:
@@ -458,7 +462,6 @@ class FleetRunner:
         m_goodput = metrics.counter(
             "fleet_goodput_bytes", unit="bytes",
             help="uplink bytes of frames whose result arrived")
-        gt_cache: dict[tuple, list] = {}
         reports: list[AgentReport] = []
         pooled_responses: list[float] = []
         makespan = 0.0
@@ -521,13 +524,7 @@ class FleetRunner:
                     m_frames.labels(agent=spec.agent, status=status).inc(
                         1.0, at=spec.start + f.capture_time)
 
-            key = (spec.dataset, spec.clip_seed, cfg.n_frames, cfg.resolution,
-                   cfg.detector_seed)
-            if key not in gt_cache:
-                detector = QualityAwareDetector(seed=cfg.detector_seed)
-                gt_cache[key] = [detector.ground_truth(ar.clip.frame(i))
-                                 for i in range(ar.clip.n_frames)]
-            ap = evaluate_detections(run.detections_per_frame, gt_cache[key])
+            ap = evaluate_detections(run.detections_per_frame, ar.ground_truth)
             finite = [f.response_time for f in run.frames if np.isfinite(f.response_time)]
             reports.append(AgentReport(
                 agent=spec.agent, scheme=run.scheme, clip_name=run.clip_name,

@@ -32,6 +32,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +303,9 @@ class CExtBackend(KernelBackend):
         self._lib: ctypes.CDLL | None = None
         self._checked = False
         self._reason: str | None = None
-        self._scratch = np.empty(64 * 64, dtype=np.float64)
+        # Per-thread: the ctypes calls release the GIL, so agent threads
+        # sweeping concurrently must never share a SAD scratch buffer.
+        self._local = threading.local()
 
     # -- availability -----------------------------------------------------
 
@@ -332,9 +335,10 @@ class CExtBackend(KernelBackend):
     # -- kernels ----------------------------------------------------------
 
     def _ensure_scratch(self, block: int) -> np.ndarray:
-        if self._scratch.size < block * block:
-            self._scratch = np.empty(block * block, dtype=np.float64)
-        return self._scratch
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None or scratch.size < block * block:
+            scratch = self._local.scratch = np.empty(max(block, 64) ** 2, dtype=np.float64)
+        return scratch
 
     def _descend_sweep(self, ev, pattern, dx, dy, cost, pred_x, pred_y,
                        lambda_mv, *, max_iter=16):

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from repro.baselines.base import AnalyticsScheme, SchemeRun
 from repro.check.lockorder import LockOrderError
 from repro.check.sanitize import SanitizeError
+from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
 from repro.metrics.flight import NULL_FLIGHT_RECORDER
 from repro.metrics.hist import linear_buckets
@@ -123,6 +124,11 @@ class StreamConfig:
 class StreamResult:
     """A scheme run plus the streaming truth accounting.
 
+    ``ground_truth`` holds the server detector's raw-frame detections
+    for every clip frame, computed by the capture stage on the record it
+    rendered for the scheme (so scoring the run needs no second render);
+    ``None`` when the server exposes no ``detector``.
+
     ``metrics`` / ``flight`` echo the runner's registry and flight
     recorder (the shared no-ops unless the caller supplied live ones),
     so consumers like ``repro top`` can export without re-plumbing.
@@ -130,6 +136,7 @@ class StreamResult:
 
     run: SchemeRun
     stats: StreamStats
+    ground_truth: list[list[Detection]] | None = None
     metrics: object = NULL_REGISTRY
     flight: object = NULL_FLIGHT_RECORDER
 
@@ -138,12 +145,19 @@ class StreamResult:
 
 
 class _CaptureStage:
-    """Render workers filling a bounded, in-order prefetch window."""
+    """Render workers filling a bounded, in-order prefetch window.
+
+    With a ``detector``, each worker also scores the record it just
+    rendered as ground truth; only the detections are kept, never the
+    record, so the window's memory bound is unchanged.
+    """
 
     def __init__(self, clip: Clip, *, workers: int, prefetch: int,
                  clock: VirtualClock, abort: threading.Event, watchdog: float | None,
-                 lock_sanitizer=None, metrics=NULL_REGISTRY):
+                 lock_sanitizer=None, metrics=NULL_REGISTRY, detector=None):
         self._clip = clip
+        self._detector = detector
+        self._truth: dict[int, list[Detection]] = {}
         self._metrics = metrics
         # Hoisted (S015): counted at the frame's virtual capture time on
         # the agent-side delivery path, so the timeline is identical no
@@ -186,7 +200,10 @@ class _CaptureStage:
                     index = self._next_claim
                     self._next_claim += 1
                 record = self._render(index)
+                truth = self._detector.ground_truth(record) if self._detector is not None else None
                 with self._cond:
+                    if truth is not None:
+                        self._truth[index] = truth
                     self._buffer[index] = record
                     self._cond.notify_all()
         except BaseException as exc:  # surface renderer failures to the agent
@@ -238,6 +255,19 @@ class _CaptureStage:
             self._cond.notify_all()
         for th in self._threads:
             th.join(timeout=5.0)
+
+    def ground_truth(self) -> list[list[Detection]] | None:
+        """Per-frame ground truth, after :meth:`stop`.
+
+        Frames the scheme never fetched were never rendered; they are
+        rendered here so the list always covers the whole clip.
+        """
+        if self._detector is None:
+            return None
+        with self._cond:
+            truth = dict(self._truth)
+        return [truth[i] if i in truth else self._detector.ground_truth(self._render(i))
+                for i in range(self._clip.n_frames)]
 
 
 class _StreamClip:
@@ -492,6 +522,7 @@ class StreamRunner:
             clip, workers=cfg.workers, prefetch=cfg.prefetch,
             clock=clock, abort=abort, watchdog=cfg.watchdog,
             lock_sanitizer=lock_sanitizer, metrics=self.metrics,
+            detector=getattr(server, "detector", None),
         )
         stream_clip = _StreamClip(clip, capture)
         inference = _InferenceStage(server, abort, cfg.watchdog)
@@ -525,7 +556,8 @@ class StreamRunner:
         accounting.stop()
         wall = time.perf_counter() - started
         stats = self._reconcile(run, ctx, outcomes, server, cfg, clock, wall)
-        return StreamResult(run=run, stats=stats, metrics=self.metrics, flight=self.flight)
+        return StreamResult(run=run, stats=stats, ground_truth=capture.ground_truth(),
+                            metrics=self.metrics, flight=self.flight)
 
     # ------------------------------------------------------ reconciliation
 

@@ -301,6 +301,32 @@ class TestFleetRunner:
         assert specs[4].start == pytest.approx(0.4)
 
 
+class TestCextAgentPool:
+    """The cext sweeps release the GIL, so concurrent agent threads must
+    not share kernel scratch state: a 2-wide agent pool on cext has to
+    reproduce the numpy, 1-worker digest on every run."""
+
+    @pytest.mark.timeout(900)
+    def test_cext_two_agent_workers_match_numpy_one_worker(self):
+        from dataclasses import replace
+
+        from repro import kernels
+
+        if "cext" not in kernels.available_backends():
+            pytest.skip(f"cext backend: {kernels.backend('cext').why_unavailable()}")
+        config = FleetConfig(
+            n_agents=4, n_frames=6, schemes=("dive", "dds", "eaar", "o3"),
+            resolution=RES, stagger=0.03, cell_mbps=8.0, workers=1,
+            max_batch=2, max_wait=0.005, queue_capacity=2, agent_workers=1,
+        )
+        with kernels.use_backend("numpy"):
+            reference = FleetRunner(config).run().digest()
+        with kernels.use_backend("cext"):
+            digests = [FleetRunner(replace(config, agent_workers=2)).run().digest()
+                       for _ in range(3)]
+        assert digests == [reference] * 3
+
+
 class TestFleetMetrics:
     def test_agent_labels_in_registry(self, small_fleet_result):
         from repro.metrics import MetricsRegistry
@@ -363,10 +389,3 @@ class TestScalabilityRewrite:
         assert set(by) == {("DiVE", 1), ("DiVE", 4)}
         assert by[("DiVE", 4)].response_time >= by[("DiVE", 1)].response_time - 1e-9
         assert by[("DiVE", 4)].inference_load > by[("DiVE", 1)].inference_load
-
-    def test_replay_shared_server_deprecated(self):
-        from repro.baselines.base import SchemeRun
-        from repro.experiments import replay_shared_server
-
-        with pytest.deprecated_call():
-            replay_shared_server([SchemeRun(scheme="x", clip_name="c")])
